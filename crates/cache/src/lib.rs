@@ -414,18 +414,6 @@ impl ResultCache {
         self.refresh_occupancy();
     }
 
-    /// A committed write on the single-engine backend (no replication
-    /// stream to observe): synthesize the next LSN on shard 0 and run
-    /// the same invalidation path a shipped delta would.
-    pub fn note_local_write(&self, op: &DeltaOp) {
-        let (epoch, lsn) = {
-            let meta = self.meta.read();
-            let w = meta.watermarks[0];
-            (w.epoch, w.lsn + 1)
-        };
-        self.apply_delta(0, epoch, lsn, op);
-    }
-
     /// Shared delta/invalidation path (observer calls land here).
     fn apply_delta(&self, shard: usize, epoch: u64, lsn: u64, op: &DeltaOp) {
         let reg = procdb_obs::global();
@@ -629,6 +617,13 @@ mod tests {
         c
     }
 
+    /// Commit `op` on shard 0 at the next LSN, as the engine's delta tap
+    /// does.
+    fn commit(c: &ResultCache, op: DeltaOp) {
+        let lsn = c.stats().per_shard[0].lsn + 1;
+        c.on_delta(0, 1, lsn, &op);
+    }
+
     fn fill(c: &ResultCache, name: &str, body: &str) -> bool {
         let t = c.begin_fill().expect("enabled");
         c.try_fill(name, &t, body.to_string(), 1)
@@ -648,7 +643,7 @@ mod tests {
         assert!(fill(&c, "P2", "two"));
         assert_eq!(c.lookup("P1").as_deref(), Some("one"));
         // Delta inside P1's interval kills P1 only.
-        c.note_local_write(&DeltaOp::Delete(vec![15]));
+        commit(&c, DeltaOp::Delete(vec![15]));
         assert!(c.lookup("P1").is_none());
         assert_eq!(c.lookup("P2").as_deref(), Some("two"));
     }
@@ -657,7 +652,7 @@ mod tests {
     fn non_overlapping_delta_leaves_entry_alone() {
         let c = cache_with(&[("P1", 10, 20)]);
         assert!(fill(&c, "P1", "one"));
-        c.note_local_write(&DeltaOp::Delete(vec![999]));
+        commit(&c, DeltaOp::Delete(vec![999]));
         assert_eq!(c.lookup("P1").as_deref(), Some("one"));
     }
 
@@ -666,11 +661,11 @@ mod tests {
         let c = cache_with(&[("P1", 10, 20)]);
         assert!(fill(&c, "P1", "one"));
         // Victim outside, new key inside: still a kill.
-        c.note_local_write(&DeltaOp::Rekey(vec![(500, 15)]));
+        commit(&c, DeltaOp::Rekey(vec![(500, 15)]));
         assert!(c.lookup("P1").is_none());
         assert!(fill(&c, "P1", "one"));
         // Victim inside, new key outside: also a kill.
-        c.note_local_write(&DeltaOp::Rekey(vec![(12, 500)]));
+        commit(&c, DeltaOp::Rekey(vec![(12, 500)]));
         assert!(c.lookup("P1").is_none());
     }
 
@@ -678,10 +673,10 @@ mod tests {
     fn insert_extracts_key_field() {
         let c = cache_with(&[("P1", 10, 20)]);
         assert!(fill(&c, "P1", "one"));
-        c.note_local_write(&DeltaOp::Insert(vec![vec![
-            Value::Int(11),
-            Value::Bytes(vec![0; 4]),
-        ]]));
+        commit(
+            &c,
+            DeltaOp::Insert(vec![vec![Value::Int(11), Value::Bytes(vec![0; 4])]]),
+        );
         assert!(c.lookup("P1").is_none());
     }
 
@@ -690,10 +685,13 @@ mod tests {
         let c = cache_with(&[("P1", 10, 20), ("P2", 50, 60)]);
         assert!(fill(&c, "P1", "one"));
         assert!(fill(&c, "P2", "two"));
-        c.note_local_write(&DeltaOp::RekeyIn {
-            relation: "R2".into(),
-            mods: vec![(1, 2)],
-        });
+        commit(
+            &c,
+            DeltaOp::RekeyIn {
+                relation: "R2".into(),
+                mods: vec![(1, 2)],
+            },
+        );
         assert!(c.lookup("P1").is_none());
         assert!(c.lookup("P2").is_none());
     }
@@ -704,7 +702,7 @@ mod tests {
         let t = c.begin_fill().expect("enabled");
         // The engine read is "running" here; an overlapping delta
         // commits before the result is stored.
-        c.note_local_write(&DeltaOp::Delete(vec![15]));
+        commit(&c, DeltaOp::Delete(vec![15]));
         assert!(
             !c.try_fill("P1", &t, "stale".into(), 1),
             "raced fill rejected"
@@ -716,7 +714,7 @@ mod tests {
     fn non_overlapping_delta_between_ticket_and_store_keeps_fill() {
         let c = cache_with(&[("P1", 10, 20)]);
         let t = c.begin_fill().expect("enabled");
-        c.note_local_write(&DeltaOp::Delete(vec![999]));
+        commit(&c, DeltaOp::Delete(vec![999]));
         assert!(c.try_fill("P1", &t, "fresh".into(), 1));
         assert_eq!(c.lookup("P1").as_deref(), Some("fresh"));
     }
@@ -793,7 +791,7 @@ mod tests {
         assert_eq!(s.bytes, 4);
         assert_eq!(s.stale_served, 0);
         assert_eq!(s.per_shard.len(), 1);
-        c.note_local_write(&DeltaOp::Delete(vec![15]));
+        commit(&c, DeltaOp::Delete(vec![15]));
         let s = c.stats();
         assert_eq!(s.entries, 0);
         assert_eq!(s.per_shard[0].lsn, 1);

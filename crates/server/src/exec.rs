@@ -304,6 +304,42 @@ mod tests {
     }
 
     #[test]
+    fn rows_survive_an_engine_rebuild() {
+        for shards in [1, 3] {
+            let mut s = Session::new();
+            run(&mut s, "create table EMP (eid int, dept int) btree eid").unwrap();
+            for i in 0..10 {
+                run(&mut s, &format!("insert EMP ({i}, 0)")).unwrap();
+            }
+            run(&mut s, &format!("shards {shards}")).unwrap();
+            run(
+                &mut s,
+                "define view V (EMP.all) where EMP.eid >= 0 and EMP.eid <= 100",
+            )
+            .unwrap();
+            run(&mut s, "access V").unwrap();
+            // Both writes land only in the built engine.
+            run(&mut s, "update 3 -> 50").unwrap();
+            run(&mut s, "insert EMP (77, 1)").unwrap();
+            for step in ["show", "strategy avm", "show"] {
+                let Outcome::Text(t) = run(&mut s, step).unwrap() else {
+                    panic!()
+                };
+                if step == "show" {
+                    assert!(t.contains("EMP (11 rows"), "{shards} shard(s): {t}");
+                }
+            }
+            // The rebuilt engine answers from the rows taken back.
+            let Outcome::Text(t) = run(&mut s, "access V").unwrap() else {
+                panic!()
+            };
+            assert!(t.contains("11 rows"), "{t}");
+            assert!(t.contains("(50, 0)") && t.contains("(77, 1)"), "{t}");
+            assert!(!t.contains("(3, 0)"), "{t}");
+        }
+    }
+
+    #[test]
     fn sharded_script_through_executor() {
         let mut s = Session::new();
         run(&mut s, "create table EMP (eid int, dept int) btree eid").unwrap();

@@ -32,7 +32,9 @@
 //! Invalidate entry — see [`procdb_core::Engine::access_shared`]);
 //! an invalidated cache entry escalates to the exclusive path, exactly
 //! as a CI access that must refill its cache re-acquires locks.
-//! Updates and DDL always take the write lock.
+//! Updates take the write lock on one unreplicated shard; with several
+//! shards or replicas they run under the read lock, isolated by the
+//! per-shard engine locks. DDL always takes the write lock.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -113,24 +113,16 @@ fn int_arg(args: &[Value], i: usize) -> i64 {
     }
 }
 
-/// Select base tuples whose key lies in `[lo, hi]`, sorted by key.
-/// Returns `(selected rows, scanned count, key field)`.
+/// Select base tuples whose key lies in `[lo, hi]`, sorted by key,
+/// reading only that window. Returns `(selected rows, scanned count, key
+/// field)`, where `scanned` is the base relation's live row count.
 fn select_window(
     session: &Session,
     lo: i64,
     hi: i64,
 ) -> Result<(Vec<procdb_query::Tuple>, usize, usize), String> {
     let key_field = session.base_key_field()?;
-    let base = session.scan_base()?;
-    let scanned = base.len();
-    let mut rows: Vec<procdb_query::Tuple> = base
-        .into_iter()
-        .filter(|r| matches!(r.get(key_field), Some(Value::Int(k)) if (lo..=hi).contains(k)))
-        .collect();
-    rows.sort_by_key(|r| match r.get(key_field) {
-        Some(Value::Int(k)) => *k,
-        _ => i64::MAX,
-    });
+    let (rows, scanned) = session.base_window(lo, hi)?;
     Ok((rows, scanned, key_field))
 }
 

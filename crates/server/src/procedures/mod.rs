@@ -223,12 +223,13 @@ impl ProcedureRegistry {
 mod tests {
     use super::*;
 
+    fn run(s: &mut Session, line: &str) {
+        let cmd = crate::command::parse(line).unwrap().unwrap();
+        crate::exec::execute(s, cmd).unwrap();
+    }
+
     fn seeded_session() -> Session {
         let mut s = Session::new();
-        let run = |s: &mut Session, line: &str| {
-            let cmd = crate::command::parse(line).unwrap().unwrap();
-            crate::exec::execute(s, cmd).unwrap();
-        };
         run(&mut s, "create table EMP (eid int, dept int) btree eid");
         run(
             &mut s,
@@ -268,6 +269,41 @@ mod tests {
             })
             .collect();
         assert_eq!(keys, vec![2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn window_read_equals_a_filtered_full_scan() {
+        let reg = ProcedureRegistry::global();
+        let sorted = |mut rows: Vec<procdb_query::Tuple>| {
+            rows.sort_by_key(|r| format!("{r:?}"));
+            rows
+        };
+        for shards in [1, 3] {
+            let mut s = seeded_session();
+            run(&mut s, &format!("shards {shards}"));
+            // Build the engine, then re-key onto live keys so the window
+            // holds duplicates (two 4s, three 5s) spread over shards.
+            run(&mut s, "access V");
+            for line in ["update 7 -> 4", "update 8 -> 5", "update 9 -> 5"] {
+                run(&mut s, line);
+            }
+            for (proc, lo, hi) in [("P1", 2, 5), ("P1", 5, 5), ("P2", 0, 6), ("P1", 20, 30)] {
+                let args = [Value::Int(lo), Value::Int(hi)];
+                let window = reg.call(&s, proc, &args).unwrap();
+                // Dropping the engine takes the rows back into the
+                // session, where the call filters a full scan instead.
+                run(&mut s, "strategy ar");
+                let full = reg.call(&s, proc, &args).unwrap();
+                assert_eq!(
+                    window.out, full.out,
+                    "{proc}({lo}, {hi}) on {shards} shard(s)"
+                );
+                assert_eq!(sorted(window.rows.clone()), sorted(full.rows));
+                let keys: Vec<i64> = window.rows.iter().map(|r| r[0].as_int()).collect();
+                assert!(keys.windows(2).all(|w| w[0] <= w[1]), "unsorted: {keys:?}");
+                run(&mut s, "access V");
+            }
+        }
     }
 
     #[test]

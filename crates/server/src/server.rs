@@ -5,8 +5,11 @@
 //!   path is pure ([`Session::access_shared`]); an invalidated Cache &
 //!   Invalidate entry escalates to the **write lock** and refills — the
 //!   network analogue of a CI access re-acquiring its i-locks.
-//! * every other command (updates, inserts, DDL, strategy switches)
-//!   takes the write lock.
+//! * an update runs under the read lock when the engine has several
+//!   shards or replicas ([`Session::update_shared`]: the per-shard
+//!   engine locks isolate it), else under the write lock.
+//! * every other command (inserts, DDL, strategy switches) takes the
+//!   write lock.
 //! * a panic while executing a command is caught and reported as
 //!   `err internal: …`; the connection (and server) stay up.
 //!
@@ -174,7 +177,8 @@ impl Server {
         self.stop()
     }
 
-    /// Stop accepting, drain connection threads, and return the session.
+    /// Stop accepting, drain connection threads, and return the session
+    /// with its engine dropped, so its tables hold every row.
     pub fn stop(mut self) -> Session {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept.take() {
@@ -185,7 +189,11 @@ impl Server {
         let mut shared = self.shared;
         loop {
             match Arc::try_unwrap(shared) {
-                Ok(s) => return s.session.into_inner(),
+                Ok(s) => {
+                    let mut session = s.session.into_inner();
+                    session.dirty();
+                    return session;
+                }
                 Err(still_shared) => {
                     shared = still_shared;
                     thread::sleep(POLL);
@@ -589,12 +597,10 @@ fn run_line_inner(shared: &Arc<Shared>, line: &str) -> Response {
         }
     }
     if let Command::Update(victim, new_key) = &cmd {
-        // Sharded fast path: the per-shard engine locks are the real
-        // concurrency control, so an update only needs the session
-        // *read* lock — updates to different shards run concurrently
-        // with each other and with accesses. `None` means the backend
-        // isn't sharded (or isn't built): fall through to the exclusive
-        // path below.
+        // Partitioned or replicated fast path: the per-shard engine
+        // locks are the real concurrency control, so an update only
+        // needs the session *read* lock — updates to different shards
+        // run concurrently with each other and with accesses.
         let Some(session) = read_by(shared, deadline) else {
             return deadline_expired(shared);
         };
@@ -605,7 +611,10 @@ fn run_line_inner(shared: &Arc<Shared>, line: &str) -> Response {
                     "{n} tuple(s) re-keyed {victim} -> {new_key}; maintenance {ms:.1} model-ms"
                 ))
             }
-            Ok(None) => {} // single-engine backend: escalate below
+            // Unbuilt, or one unreplicated shard: its re-keys keep the
+            // exclusive lock, as under the shared one they make cache
+            // fills fail. Escalate below.
+            Ok(None) => {}
         }
     }
     if matches!(cmd, Command::Metrics | Command::Shards(None)) {

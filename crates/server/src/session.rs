@@ -2,27 +2,29 @@
 //! lazily rebuilt engine. Shared by the interactive shell and the
 //! server's connection threads.
 //!
-//! The session keeps every table's rows in memory so the engine can be
-//! rebuilt from scratch whenever the schema, view set, or strategy
-//! changes — switching strategies mid-session replays the same database
-//! under the new algorithm, which is exactly the comparison the paper is
-//! about.
+//! The engine is always a [`ShardedEngine`]: `shards` hash partitions
+//! (1 by default) of `replicas` engines each (1 by default). It is built
+//! from the declared rows whenever the schema, view set, shard layout or
+//! strategy changes — switching strategies mid-session replays the same
+//! database under the new algorithm, which is exactly the comparison the
+//! paper is about. While it is built, the engine holds the only copy of
+//! the base table's rows; dropping it takes them back out first.
 //!
-//! For the server, [`Session::access_shared`] serves reads through
-//! `&self` when the engine's read path is pure, so concurrent accesses
-//! proceed in parallel under a read lock; a [`WorkloadObserver`] behind
-//! a mutex counts per-procedure accesses and conflicting updates either
-//! way (surfaced by the `stats` command).
+//! For the server, [`Session::access_shared`] and
+//! [`Session::update_shared`] serve through `&self`, so concurrent
+//! commands proceed under a read lock with per-shard engine locks doing
+//! the isolation; a [`WorkloadObserver`] behind a mutex counts
+//! per-procedure accesses and conflicting updates either way (surfaced
+//! by the `stats` command).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use parking_lot::Mutex;
 use procdb_cache::ResultCache;
 use procdb_core::{
-    parse_define_view, DeltaObserver, DeltaOp, Engine, EngineOptions, ProcedureDef,
-    RecoveryOutcome, StrategyKind, WorkloadObserver,
+    parse_define_view, DeltaObserver, Engine, EngineOptions, ProcedureDef, RecoveryOutcome,
+    StrategyKind, WorkloadObserver,
 };
 use procdb_query::{Catalog, FieldType, Organization, Schema, Table, Tuple, Value};
 use procdb_shard::{Router, ShardedEngine};
@@ -31,33 +33,6 @@ use procdb_storage::{CostConstants, FaultPlan, Pager, PagerConfig};
 /// Health-check cadence of the replica supervisor the session starts
 /// when a replicated backend is built.
 const SUPERVISOR_INTERVAL: Duration = Duration::from_millis(20);
-
-/// The session's engine: one instance, or `S` hash-partitioned shard
-/// engines behind per-shard locks ([`procdb_shard::ShardedEngine`]).
-/// Built lazily from the declarative state either way; `shards 1` and
-/// the single engine behave identically.
-// One backend lives per session (heap-held behind the session lock), so
-// the size spread between the variants is irrelevant.
-#[allow(clippy::large_enum_variant)]
-enum Backend {
-    Single(Engine),
-    Sharded(ShardedEngine),
-}
-
-/// Read a single engine's base table back out of its storage, with page
-/// charging suspended: mirror upkeep is setup work, not priced query
-/// cost.
-fn scan_engine_base(engine: &Engine, base_name: &str) -> Result<Vec<Tuple>, SessionError> {
-    let pager = engine.pager().clone();
-    pager.set_charging(false);
-    let rows = engine
-        .catalog()
-        .get(base_name)
-        .ok_or_else(|| format!("base table {base_name} missing from catalog"))
-        .and_then(|t| t.scan_all().map_err(|e| e.to_string()));
-    pager.set_charging(true);
-    rows
-}
 
 /// One declared table: schema, organization, and its current rows.
 #[derive(Debug, Clone)]
@@ -68,7 +43,8 @@ pub struct TableSpec {
     pub schema: Schema,
     /// Physical organization.
     pub org: Organization,
-    /// Current contents.
+    /// Current contents. The first (base) table's rows move into the
+    /// engine while one is built, so this is empty until it is dropped.
     pub rows: Vec<Tuple>,
 }
 
@@ -81,23 +57,18 @@ pub struct Session {
     views: Vec<(String, procdb_avm::ViewDef)>,
     strategy: StrategyKind,
     constants: CostConstants,
-    engine: Option<Backend>,
+    engine: Option<ShardedEngine>,
     page_size: usize,
-    /// Shard count the next engine build partitions into (1 = single).
+    /// Shard count the next engine build partitions into.
     shards: usize,
     /// Replica-group size per shard the next build creates (1 = none).
     replicas: usize,
-    /// Set when sharded updates ran through `&self` and the in-memory
-    /// row mirror no longer matches the engine; resynced (from the
-    /// engine, which is authoritative) before the mirror is next used.
-    mirror_stale: AtomicBool,
     /// Per-procedure workload counters; a mutex (not `&mut`) so the
     /// shared read path can record accesses too.
     observer: Mutex<WorkloadObserver>,
     /// The front result cache, when the server attached one. The
-    /// session keeps it configured (procedure intervals, shard layout)
-    /// and feeds it the single-engine write stream; the sharded
-    /// backend feeds it directly as a [`DeltaObserver`].
+    /// session keeps it configured (procedure intervals, shard layout);
+    /// the engine feeds it every committed write as a [`DeltaObserver`].
     cache: Option<Arc<ResultCache>>,
 }
 
@@ -113,7 +84,6 @@ impl Session {
             page_size: 4000,
             shards: 1,
             replicas: 1,
-            mirror_stale: AtomicBool::new(false),
             observer: Mutex::new(WorkloadObserver::new(0)),
             cache: None,
         }
@@ -132,18 +102,14 @@ impl Session {
 
     /// (Re)register the engine layout and every procedure's selection
     /// interval with the cache — its predicate index must be current
-    /// before any fill can run (see `procdb-cache`'s fill protocol).
-    fn configure_cache(&self) {
+    /// before any fill can run (see `procdb-cache`'s fill protocol) —
+    /// then subscribe it to the engine's committed delta stream.
+    fn attach_cache_to(&self, sharded: &ShardedEngine) {
         let Some(cache) = self.cache.as_ref() else {
             return;
         };
         let key_field = self.base_key_field().unwrap_or(0);
-        let epochs: Vec<u64> = match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => {
-                (0..sharded.shards()).map(|s| sharded.epoch_of(s)).collect()
-            }
-            _ => vec![1],
-        };
+        let epochs: Vec<u64> = (0..sharded.shards()).map(|s| sharded.epoch_of(s)).collect();
         let procs: Vec<(String, i64, i64)> = self
             .views
             .iter()
@@ -156,6 +122,8 @@ impl Session {
             })
             .collect();
         cache.configure(&epochs, key_field, &procs);
+        let observer: Arc<dyn DeltaObserver> = cache.clone();
+        sharded.set_delta_observer(Some(observer));
     }
 
     /// The active strategy.
@@ -190,33 +158,28 @@ impl Session {
         }
     }
 
-    /// Snapshot of the base table's current rows, readable through
-    /// `&self`. When a sharded backend has applied updates since the
-    /// in-memory mirror was last synced, the rows come from the engine
-    /// (authoritative); otherwise the mirror is exact and no engine
-    /// access is needed.
-    pub fn scan_base(&self) -> Result<Vec<Tuple>, SessionError> {
-        let base = self
-            .tables
-            .first()
-            .ok_or_else(|| "no tables declared".to_string())?;
-        if self.mirror_stale.load(Ordering::SeqCst) {
-            match self.engine.as_ref() {
-                Some(Backend::Sharded(sharded)) => {
-                    return sharded.scan_r1().map_err(|e| e.to_string())
-                }
-                Some(Backend::Single(engine)) => return scan_engine_base(engine, &base.name),
-                None => {}
-            }
+    /// The base tuples whose key lies in `[lo, hi]`, sorted by key, and
+    /// the base relation's live row count. A built engine reads only the
+    /// window (a B-tree range read per shard, uncharged); before the
+    /// first build the declared rows are filtered.
+    pub fn base_window(&self, lo: i64, hi: i64) -> Result<(Vec<Tuple>, usize), SessionError> {
+        let key_field = self.base_key_field()?;
+        if let Some(sharded) = self.engine.as_ref() {
+            let rows = sharded.r1_window(lo, hi).map_err(|e| e.to_string())?;
+            return Ok((rows, sharded.r1_len() as usize));
         }
-        Ok(base.rows.clone())
-    }
-
-    fn table_mut(&mut self, name: &str) -> Result<&mut TableSpec, SessionError> {
-        self.tables
-            .iter_mut()
-            .find(|t| t.name == name)
-            .ok_or_else(|| format!("unknown table {name}"))
+        let base = &self.tables[0].rows;
+        let key = |r: &Tuple| match r.get(key_field) {
+            Some(Value::Int(k)) => *k,
+            _ => i64::MAX,
+        };
+        let mut rows: Vec<Tuple> = base
+            .iter()
+            .filter(|r| (lo..=hi).contains(&key(r)))
+            .cloned()
+            .collect();
+        rows.sort_by_key(key);
+        Ok((rows, base.len()))
     }
 
     fn table(&self, name: &str) -> Result<&TableSpec, SessionError> {
@@ -226,12 +189,23 @@ impl Session {
             .ok_or_else(|| format!("unknown table {name}"))
     }
 
-    /// Invalidate the built engine (schema/view/strategy changed). The
-    /// mirror is resynced first: once the backend is gone it can no
-    /// longer tell us which tuples sharded updates re-keyed.
-    fn dirty(&mut self) {
-        self.resync_mirror();
-        self.engine = None;
+    /// Drop the built engine (schema/view/strategy changed), taking the
+    /// base table's rows back out of it first with one uncharged scan.
+    /// The server also calls this when it stops, so the session it hands
+    /// back holds every row.
+    pub(crate) fn dirty(&mut self) {
+        if let Some(sharded) = self.engine.take() {
+            // The fault plan goes with the engine's pagers; lift it so
+            // an uncharged-fault plan cannot fail the read-back.
+            for s in 0..sharded.shards() {
+                sharded.with_engine(s, |e| e.pager().clear_faults());
+            }
+            // Should even that read fail (an uncharged-fault plan tore a
+            // page), the rows the engine was built from stand in.
+            if let Ok(rows) = sharded.scan_r1() {
+                self.tables[0].rows = rows;
+            }
+        }
         // Whatever the next engine computes may differ from what the
         // old one answered — nothing cached survives a rebuild.
         if let Some(cache) = self.cache.as_ref() {
@@ -239,31 +213,8 @@ impl Session {
         }
     }
 
-    /// Pull the base table's rows back out of the live backend if
-    /// updates re-keyed tuples since the last sync. Both backends defer
-    /// this O(rows) scan to here so re-keys stay cheap; with duplicate
-    /// keys, guessing which tuple the engine moved can diverge — reading
-    /// the rows back cannot.
-    fn resync_mirror(&mut self) {
-        if !self.mirror_stale.swap(false, Ordering::SeqCst) {
-            return;
-        }
-        let rows = match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => sharded.scan_r1().ok(),
-            Some(Backend::Single(engine)) => self
-                .tables
-                .first()
-                .and_then(|base| scan_engine_base(engine, &base.name).ok()),
-            None => None,
-        };
-        if let Some(rows) = rows {
-            self.tables[0].rows = rows;
-        }
-    }
-
-    /// Partition the engine `shards` ways on the next build (1 restores
-    /// the single engine). A live engine is rebuilt lazily, exactly like
-    /// a strategy switch.
+    /// Partition the engine `shards` ways on the next build. A live
+    /// engine is rebuilt lazily, exactly like a strategy switch.
     pub fn set_shards(&mut self, n: usize) -> Result<(), SessionError> {
         if n == 0 {
             return Err("shards must be at least 1".to_string());
@@ -277,15 +228,14 @@ impl Session {
     }
 
     /// Configured shard count (what the next engine build partitions
-    /// into; 1 = single engine).
+    /// into).
     pub fn shards(&self) -> usize {
         self.shards
     }
 
     /// Replicate each shard `n` ways on the next build (1 disables
     /// replication). `n >= 2` makes every shard a primary + followers
-    /// group with supervised failover; the sharded backend is used even
-    /// with `shards 1`, since replication rides on it.
+    /// group with supervised failover.
     pub fn set_replicas(&mut self, n: usize) -> Result<(), SessionError> {
         if n == 0 {
             return Err("replicas must be at least 1".to_string());
@@ -333,52 +283,37 @@ impl Session {
 
     /// Insert a row (typed against the declared schema).
     pub fn insert(&mut self, table: &str, row: Tuple) -> Result<(), SessionError> {
-        let is_base = self.engine.is_some()
-            && self
-                .tables
-                .first()
-                .map(|t| t.name == table)
-                .unwrap_or(false);
-        let spec = self.table_mut(table)?;
-        if row.len() != spec.schema.arity() {
+        let ti = self
+            .tables
+            .iter()
+            .position(|t| t.name == table)
+            .ok_or_else(|| format!("unknown table {table}"))?;
+        let schema = &self.tables[ti].schema;
+        if row.len() != schema.arity() {
             return Err(format!(
                 "arity mismatch: {} fields given, {} expected",
                 row.len(),
-                spec.schema.arity()
+                schema.arity()
             ));
         }
-        for (v, f) in row.iter().zip(spec.schema.fields()) {
+        for (v, f) in row.iter().zip(schema.fields()) {
             match (v, f.ty) {
                 (Value::Int(_), FieldType::Int) => {}
                 (Value::Bytes(b), FieldType::Bytes(w)) if b.len() <= w => {}
                 _ => return Err(format!("value does not fit field {}", f.name)),
             }
         }
-        // Canonical (padded) form everywhere: in the mirror and the engine.
-        let row = spec.schema.normalize(&row);
-        spec.rows.push(row.clone());
-        // If an engine is live and this is its base relation, route the
-        // insert through it (charged maintenance); otherwise rebuild lazily.
-        if is_base {
-            let constants = self.constants;
-            match self.engine.as_mut() {
-                Some(Backend::Single(e)) => {
-                    e.apply_insert(std::slice::from_ref(&row))
-                        .map_err(|e| e.to_string())?;
-                    if let Some(cache) = self.cache.as_ref() {
-                        cache.note_local_write(&DeltaOp::Insert(vec![row]));
-                    }
-                    return Ok(());
-                }
-                Some(Backend::Sharded(sharded)) => {
-                    sharded
-                        .apply_insert(&[row], &constants)
-                        .map_err(|e| e.to_string())?;
-                    return Ok(());
-                }
-                None => {}
-            }
+        // Canonical (padded) form everywhere: declared rows and engine.
+        let row = schema.normalize(&row);
+        // A built engine holds the base relation's rows: route the insert
+        // through it (charged maintenance). Anything else rebuilds lazily.
+        if let (0, Some(sharded)) = (ti, self.engine.as_ref()) {
+            sharded
+                .apply_insert(&[row], &self.constants)
+                .map_err(|e| e.to_string())?;
+            return Ok(());
         }
+        self.tables[ti].rows.push(row);
         self.dirty();
         Ok(())
     }
@@ -468,29 +403,20 @@ impl Session {
         self.dirty();
     }
 
-    /// Build one engine over the declared schema. `shard` carries the
-    /// shard id (for metric labels) and that shard's partition of the
-    /// base table's rows; `None` builds the single (unpartitioned)
-    /// engine.
-    fn build_engine(&self, shard: Option<(u32, &[Tuple])>) -> Result<Engine, SessionError> {
-        let base = self
-            .tables
-            .first()
-            .ok_or_else(|| "no tables declared".to_string())?;
-        if self.views.is_empty() {
-            return Err("no views defined".to_string());
-        }
+    /// Build one shard's engine over the declared schema, loading
+    /// `base_rows` (that shard's partition) into the base table.
+    fn build_engine(
+        &self,
+        shard: u32,
+        r1_key_field: usize,
+        base_rows: &[Tuple],
+    ) -> Result<Engine, SessionError> {
         let pager = Pager::new(PagerConfig {
             page_size: self.page_size,
             buffer_capacity: 16 * 1024,
             mode: procdb_storage::AccountingMode::Physical,
         });
-        let r1 = base.name.clone();
-        let r1_key_field = match base.org {
-            Organization::BTree { key_field } => key_field,
-            _ => return Err("the first table must be B-tree organized".to_string()),
-        };
-        let catalog = self.build_catalog(&pager, true, shard.map(|(_, rows)| rows))?;
+        let catalog = self.build_catalog(&pager, true, Some(base_rows))?;
         let procs: Vec<ProcedureDef> = self
             .views
             .iter()
@@ -508,58 +434,68 @@ impl Session {
             procs,
             self.strategy,
             EngineOptions {
-                r1,
+                r1: self.tables[0].name.clone(),
                 r1_key_field,
                 rvm_base_probe_field: probe,
                 rvm_update_frequencies: None,
                 clear_buffer_between_ops: true,
-                shard: shard.map(|(id, _)| id),
+                shard: Some(shard),
             },
         )
         .map_err(|e| e.to_string())
     }
 
-    fn ensure_backend(&mut self) -> Result<&mut Backend, SessionError> {
+    /// Build `shards` x `replicas` engines over the partitioned base
+    /// rows, warm them, and start failover support when replicated.
+    fn build_backend(
+        &self,
+        key_field: usize,
+        parts: &[Vec<Tuple>],
+    ) -> Result<ShardedEngine, SessionError> {
+        let sharded = ShardedEngine::new_replicated(self.shards, self.replicas, |sid, _| {
+            self.build_engine(sid as u32, key_field, &parts[sid])
+        })?;
+        sharded.warm_up().map_err(|e| e.to_string())?;
+        if self.replicas > 1 {
+            // With followers available, contended reads may hedge and a
+            // crashed primary is promoted away from even when no traffic
+            // touches the failed shard.
+            sharded.set_hedged_reads(true);
+            sharded.start_supervisor(SUPERVISOR_INTERVAL);
+        }
+        Ok(sharded)
+    }
+
+    fn ensure_backend(&mut self) -> Result<&ShardedEngine, SessionError> {
         if self.engine.is_none() {
-            if self.shards == 1 && self.replicas == 1 {
-                let mut engine = self.build_engine(None)?;
-                engine.warm_up().map_err(|e| e.to_string())?;
-                self.engine = Some(Backend::Single(engine));
-            } else {
-                let base = self
-                    .tables
-                    .first()
-                    .ok_or_else(|| "no tables declared".to_string())?;
-                let key_field = match base.org {
-                    Organization::BTree { key_field } => key_field,
-                    _ => return Err("the first table must be B-tree organized".to_string()),
-                };
-                let parts = Router::new(self.shards).partition_rows(&base.rows, key_field);
-                let sharded =
-                    ShardedEngine::new_replicated(self.shards, self.replicas, |sid, _| {
-                        self.build_engine(Some((sid as u32, &parts[sid])))
-                    })?;
-                sharded.warm_up().map_err(|e| e.to_string())?;
-                if self.replicas > 1 {
-                    // With followers available, contended reads may hedge
-                    // and a crashed primary is promoted away from even
-                    // when no traffic touches the failed shard.
-                    sharded.set_hedged_reads(true);
-                    sharded.start_supervisor(SUPERVISOR_INTERVAL);
-                }
-                self.engine = Some(Backend::Sharded(sharded));
+            let base = self
+                .tables
+                .first()
+                .ok_or_else(|| "no tables declared".to_string())?;
+            if self.views.is_empty() {
+                return Err("no views defined".to_string());
             }
-            self.configure_cache();
-            if let (Some(cache), Some(Backend::Sharded(sharded))) =
-                (self.cache.as_ref(), self.engine.as_ref())
-            {
-                let observer: Arc<dyn DeltaObserver> = cache.clone();
-                sharded.set_delta_observer(Some(observer));
+            let Organization::BTree { key_field } = base.org else {
+                return Err("the first table must be B-tree organized".to_string());
+            };
+            // The base rows move into the engine, partition by partition.
+            let router = Router::new(self.shards);
+            let mut parts: Vec<Vec<Tuple>> = vec![Vec::new(); self.shards];
+            for row in std::mem::take(&mut self.tables[0].rows) {
+                parts[router.shard_of(row[key_field].as_int())].push(row);
+            }
+            match self.build_backend(key_field, &parts) {
+                Ok(sharded) => {
+                    self.attach_cache_to(&sharded);
+                    self.engine = Some(sharded);
+                }
+                Err(e) => {
+                    self.tables[0].rows = parts.into_iter().flatten().collect();
+                    return Err(e);
+                }
             }
         }
-        self.engine
-            .as_mut()
-            .ok_or_else(|| "engine build failed".to_string())
+        Ok(self.engine.as_ref().expect("built above"))
     }
 
     /// Build the engine now if it would be built on the next access.
@@ -579,64 +515,61 @@ impl Session {
             .ok_or_else(|| format!("unknown view {view}"))
     }
 
+    /// Serve procedure `idx` from the built engine and count it. With
+    /// `escalate`, a shard whose strategy must write first (a Cache &
+    /// Invalidate refill, a post-crash rebuild) takes its own exclusive
+    /// lock; without, the access declines with `Ok(None)`, as it does
+    /// when no engine is built.
+    fn serve_access(
+        &self,
+        idx: usize,
+        escalate: bool,
+    ) -> Result<Option<(Vec<Tuple>, f64)>, SessionError> {
+        let Some(sharded) = self.engine.as_ref() else {
+            return Ok(None);
+        };
+        let mut sp = procdb_obs::span!(procdb_obs::global(), "session.access", proc = idx);
+        let served = if escalate {
+            sharded.access(idx, &self.constants).map(Some)
+        } else {
+            sharded.access_shared(idx, &self.constants)
+        }
+        .map_err(|e| e.to_string())?;
+        if let Some((rows, ms)) = &served {
+            self.observer.lock().record_access(idx);
+            sp.field("rows", rows.len() as f64);
+            sp.field("priced_ms", *ms);
+        }
+        Ok(served)
+    }
+
     /// Read a view's current value; returns the rows and the priced cost.
     pub fn access(&mut self, view: &str) -> Result<(Vec<Tuple>, f64), SessionError> {
         let idx = self.view_index(view)?;
-        let mut sp = procdb_obs::span!(procdb_obs::global(), "session.access", proc = idx);
-        let constants = self.constants;
-        let (rows, ms) = match self.ensure_backend()? {
-            Backend::Single(engine) => {
-                let before = engine.ledger().snapshot();
-                let rows = engine.access(idx).map_err(|e| e.to_string())?;
-                let ms = engine.ledger().snapshot().since(&before).priced(&constants);
-                (rows, ms)
-            }
-            Backend::Sharded(sharded) => {
-                sharded.access(idx, &constants).map_err(|e| e.to_string())?
-            }
-        };
-        self.observer.lock().record_access(idx);
-        sp.field("rows", rows.len() as f64);
-        sp.field("priced_ms", ms);
-        Ok((rows, ms))
+        self.ensure_backend()?;
+        Ok(self
+            .serve_access(idx, true)?
+            .expect("a built engine serves an escalating access"))
     }
 
-    /// Serve a read through `&self` when the engine's read path needs no
-    /// mutation (see [`Engine::access_shared`]). `Ok(None)` means the
-    /// caller must escalate to exclusive access — the engine is not
-    /// built yet, or a single engine's Cache & Invalidate entry needs a
-    /// refill. A sharded backend always serves here: escalation happens
-    /// per shard, inside its own lock.
+    /// Serve a read through `&self`. `Ok(None)` means the caller must
+    /// escalate to [`Session::access`] under the exclusive lock: the
+    /// engine is not built yet, or it is one unreplicated shard that
+    /// must write to answer (a Cache & Invalidate refill). Several
+    /// shards or replicas escalate per shard instead, inside that
+    /// shard's own lock, and always serve here.
     pub fn access_shared(&self, view: &str) -> Result<Option<(Vec<Tuple>, f64)>, SessionError> {
         let idx = self.view_index(view)?;
-        let mut sp = procdb_obs::span!(procdb_obs::global(), "session.access", proc = idx);
-        match self.engine.as_ref() {
-            None => Ok(None),
-            Some(Backend::Single(engine)) => {
-                let before = engine.ledger().snapshot();
-                match engine.access_shared(idx).map_err(|e| e.to_string())? {
-                    None => Ok(None),
-                    Some(rows) => {
-                        let ms = engine
-                            .ledger()
-                            .snapshot()
-                            .since(&before)
-                            .priced(&self.constants);
-                        self.observer.lock().record_access(idx);
-                        Ok(Some((rows, ms)))
-                    }
-                }
-            }
-            Some(Backend::Sharded(sharded)) => {
-                let (rows, ms) = sharded
-                    .access(idx, &self.constants)
-                    .map_err(|e| e.to_string())?;
-                self.observer.lock().record_access(idx);
-                sp.field("rows", rows.len() as f64);
-                sp.field("priced_ms", ms);
-                Ok(Some((rows, ms)))
-            }
-        }
+        self.serve_access(idx, self.shard_locks_isolate())
+    }
+
+    /// Whether the per-shard engine locks isolate writers, so a caller
+    /// holding only the shared session lock may write. Not for one
+    /// unreplicated shard: its re-keys, run under the shared lock,
+    /// interleave with long recomputes and make front-cache fills fail,
+    /// so they (and reads that must write) keep the exclusive lock.
+    fn shard_locks_isolate(&self) -> bool {
+        self.shards > 1 || self.replicas > 1
     }
 
     /// Count which procedures an applied re-key conflicted with: any
@@ -666,82 +599,43 @@ impl Session {
     /// Re-key one tuple of the base table; returns the priced maintenance
     /// cost.
     pub fn update(&mut self, victim: i64, new_key: i64) -> Result<(usize, f64), SessionError> {
-        let _sp = procdb_obs::span!(procdb_obs::global(), "session.update", victim = victim);
-        let constants = self.constants;
-        if self.tables.is_empty() {
-            return Err("no tables declared".to_string());
-        }
-        let key_field = match self.tables[0].org {
-            Organization::BTree { key_field } | Organization::Hash { key_field } => key_field,
-            Organization::Heap => 0,
-        };
         self.ensure_backend()?;
-        if matches!(self.engine.as_ref(), Some(Backend::Sharded(_))) {
-            let out = self
-                .update_shared(victim, new_key)?
-                .expect("sharded backend is live");
-            self.resync_mirror();
-            return Ok(out);
-        }
-        let Some(Backend::Single(engine)) = self.engine.as_mut() else {
-            return Err("engine build failed".to_string());
-        };
-        let before = engine.ledger().snapshot();
-        let n = engine
-            .apply_update(&[(victim, new_key)])
-            .map_err(|e| e.to_string())?;
-        let ms = engine.ledger().snapshot().since(&before).priced(&constants);
-        if n > 0 {
-            // The mirror is out of date, but re-scanning the base table
-            // here would cost O(rows) under the exclusive lock on every
-            // re-key. Mark it and resync lazily before the mirror's next
-            // use (engine rebuild / DDL / scan_base), exactly like the
-            // sharded path.
-            self.mirror_stale.store(true, Ordering::SeqCst);
-            if let Some(cache) = self.cache.as_ref() {
-                cache.note_local_write(&DeltaOp::Rekey(vec![(victim, new_key)]));
-            }
-        }
-        self.note_update(n, key_field, victim, new_key);
-        Ok((n, ms))
+        Ok(self.rekey(victim, new_key)?.expect("the engine is built"))
     }
 
-    /// Re-key one base tuple through `&self`. Only a live **sharded**
-    /// backend serves here — its concurrency control is per shard, so
-    /// the caller needs no exclusive session lock; the server routes
-    /// updates this way, locking one shard instead of the whole session.
-    /// `Ok(None)` means single-engine (or unbuilt) — escalate to
-    /// [`Session::update`] under the exclusive lock.
+    /// Re-key one base tuple through `&self`, when the per-shard engine
+    /// locks isolate it. `Ok(None)` means escalate to [`Session::update`]
+    /// under the exclusive lock: the engine is not built yet, or it is
+    /// one unreplicated shard.
     pub fn update_shared(
         &self,
         victim: i64,
         new_key: i64,
     ) -> Result<Option<(usize, f64)>, SessionError> {
-        let Some(Backend::Sharded(sharded)) = self.engine.as_ref() else {
+        if !self.shard_locks_isolate() {
+            return Ok(None);
+        }
+        self.rekey(victim, new_key)
+    }
+
+    /// Re-key one base tuple on the built engine (`Ok(None)` when there
+    /// is none) and count it.
+    fn rekey(&self, victim: i64, new_key: i64) -> Result<Option<(usize, f64)>, SessionError> {
+        let Some(sharded) = self.engine.as_ref() else {
             return Ok(None);
         };
         let _sp = procdb_obs::span!(procdb_obs::global(), "session.update", victim = victim);
-        let key_field = match self.tables[0].org {
-            Organization::BTree { key_field } | Organization::Hash { key_field } => key_field,
-            Organization::Heap => 0,
-        };
+        let key_field = self.base_key_field()?;
         let (n, ms) = sharded
             .apply_update(&[(victim, new_key)], &self.constants)
             .map_err(|e| e.to_string())?;
-        if n > 0 {
-            // The row mirror can't be rewritten under `&self`; mark it
-            // and resync before its next use (engine rebuild/DDL).
-            self.mirror_stale.store(true, Ordering::SeqCst);
-        }
         self.note_update(n, key_field, victim, new_key);
         Ok(Some((n, ms)))
     }
 
-    /// Install a fault plan on the live engine's pager (building the
-    /// engine first if needed). A sharded backend installs the same
-    /// seeded plan on every shard's private pager. Note that rebuilding
-    /// the engine — a strategy switch or DDL — discards the plan with
-    /// the pager.
+    /// Install a fault plan on every shard primary's pager (building the
+    /// engine first if needed). Note that rebuilding the engine — a
+    /// strategy switch or DDL — discards the plan with the pagers.
     pub fn fault_inject(&mut self, plan: FaultPlan) -> Result<String, SessionError> {
         let desc = format!(
             "fault plan installed: seed {} io-reads {} io-writes {} torn {}{}{}{}",
@@ -761,87 +655,71 @@ impl Session {
                 " (uncharged included)"
             },
         );
-        match self.ensure_backend()? {
-            Backend::Single(engine) => {
-                engine.pager().install_faults(plan);
-                Ok(desc)
-            }
-            Backend::Sharded(sharded) => {
-                for s in 0..sharded.shards() {
-                    let plan = plan.clone();
-                    sharded.with_engine(s, |e| e.pager().install_faults(plan));
-                }
-                Ok(format!("{desc} (all {} shards)", sharded.shards()))
-            }
+        let sharded = self.ensure_backend()?;
+        for s in 0..sharded.shards() {
+            let plan = plan.clone();
+            sharded.with_engine(s, |e| e.pager().install_faults(plan));
         }
+        Ok(match sharded.shards() {
+            1 => desc,
+            n => format!("{desc} (all {n} shards)"),
+        })
     }
 
     /// Remove the installed fault plan, if any.
     pub fn fault_off(&mut self) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Single(engine) => engine.pager().clear_faults(),
-            Backend::Sharded(sharded) => {
-                for s in 0..sharded.shards() {
-                    sharded.with_engine(s, |e| e.pager().clear_faults());
-                }
-            }
+        let sharded = self.ensure_backend()?;
+        for s in 0..sharded.shards() {
+            sharded.with_engine(s, |e| e.pager().clear_faults());
         }
         Ok("fault injection off".to_string())
     }
 
-    /// Injector counters and the active plan (the `fault status` command).
+    /// Injector counters and the active plan (the `fault status`
+    /// command), one block per shard when partitioned.
     pub fn fault_status_text(&self) -> String {
-        if let Some(Backend::Sharded(sharded)) = self.engine.as_ref() {
-            let mut out = String::new();
-            for s in 0..sharded.shards() {
-                let line = sharded.with_engine(s, |e| match e.pager().fault_injector() {
-                    None => format!("shard {s}: no fault plan installed"),
-                    Some(inj) => {
-                        let st = inj.status();
-                        format!(
-                            "shard {s}: {} transfers, {} io failures, {} torn writes, \
-                             {} kills, crashed {}",
-                            st.transfers, st.io_failures, st.torn_writes, st.kills, st.crashed,
-                        )
-                    }
-                });
-                out.push_str(&line);
-                out.push('\n');
-            }
-            return out.trim_end().to_string();
+        let Some(sharded) = self.engine.as_ref() else {
+            return "no fault plan installed".to_string();
+        };
+        let shards = sharded.shards();
+        let mut out = Vec::with_capacity(shards);
+        for s in 0..shards {
+            let text = sharded.with_engine(s, |e| match e.pager().fault_injector() {
+                None => "no fault plan installed".to_string(),
+                Some(inj) => {
+                    let st = inj.status();
+                    let p = inj.plan();
+                    format!(
+                        "plan: seed {} io-reads {} io-writes {} torn {} kill-at {} \
+                         window {} charged-only {}\n\
+                         injected: {} transfers, {} io failures, {} torn writes, \
+                         {} kills, crashed {}",
+                        p.seed,
+                        p.io_read_prob,
+                        p.io_write_prob,
+                        p.torn_write_prob,
+                        p.kill_after
+                            .map(|n| n.to_string())
+                            .unwrap_or_else(|| "-".to_string()),
+                        p.fail_window
+                            .map(|(a, b)| format!("[{a}, {b})"))
+                            .unwrap_or_else(|| "-".to_string()),
+                        p.charged_only,
+                        st.transfers,
+                        st.io_failures,
+                        st.torn_writes,
+                        st.kills,
+                        st.crashed,
+                    )
+                }
+            });
+            out.push(if shards == 1 {
+                text
+            } else {
+                format!("shard {s}: {}", text.replace('\n', "; "))
+            });
         }
-        match self.engine.as_ref().and_then(|b| match b {
-            Backend::Single(e) => e.pager().fault_injector(),
-            Backend::Sharded(_) => unreachable!("handled above"),
-        }) {
-            None => "no fault plan installed".to_string(),
-            Some(inj) => {
-                let st = inj.status();
-                let p = inj.plan();
-                format!(
-                    "plan: seed {} io-reads {} io-writes {} torn {} kill-at {} \
-                     window {} charged-only {}\n\
-                     injected: {} transfers, {} io failures, {} torn writes, \
-                     {} kills, crashed {}",
-                    p.seed,
-                    p.io_read_prob,
-                    p.io_write_prob,
-                    p.torn_write_prob,
-                    p.kill_after
-                        .map(|n| n.to_string())
-                        .unwrap_or_else(|| "-".to_string()),
-                    p.fail_window
-                        .map(|(a, b)| format!("[{a}, {b})"))
-                        .unwrap_or_else(|| "-".to_string()),
-                    p.charged_only,
-                    st.transfers,
-                    st.io_failures,
-                    st.torn_writes,
-                    st.kills,
-                    st.crashed,
-                )
-            }
-        }
+        out.join("\n")
     }
 
     /// Install a message-chaos plan on the replication layer (the
@@ -849,60 +727,62 @@ impl Session {
     /// backend — there is no delta-shipping path to break otherwise.
     pub fn chaos_inject(&mut self, plan: procdb_shard::ChaosPlan) -> Result<String, SessionError> {
         let desc = plan.describe();
-        match self.ensure_backend()? {
-            Backend::Sharded(sharded) if sharded.replicas() > 1 => {
-                sharded.install_chaos(plan);
-                Ok(format!("{desc} (installed)"))
-            }
-            _ => Err("not replicated; use 'replicas R' (R >= 2) first".to_string()),
+        let sharded = self.ensure_backend()?;
+        if sharded.replicas() < 2 {
+            return Err("not replicated; use 'replicas R' (R >= 2) first".to_string());
         }
+        sharded.install_chaos(plan);
+        Ok(format!("{desc} (installed)"))
     }
 
     /// Remove the installed chaos plan, reporting its final counters.
     pub fn chaos_off(&mut self) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Sharded(sharded) => match sharded.chaos_off() {
-                Some(st) => Ok(format!(
-                    "chaos off; injected: {} delayed, {} dropped, {} duplicated, \
-                     {} reordered, {} heartbeats delayed, {} fenced",
-                    st.delayed,
-                    st.dropped,
-                    st.duplicated,
-                    st.reordered,
-                    st.heartbeats_delayed,
-                    st.fenced,
-                )),
-                None => Ok("no chaos plan installed".to_string()),
-            },
-            Backend::Single(_) => Ok("no chaos plan installed".to_string()),
-        }
+        Ok(match self.ensure_backend()?.chaos_off() {
+            Some(st) => format!(
+                "chaos off; injected: {} delayed, {} dropped, {} duplicated, \
+                 {} reordered, {} heartbeats delayed, {} fenced",
+                st.delayed,
+                st.dropped,
+                st.duplicated,
+                st.reordered,
+                st.heartbeats_delayed,
+                st.fenced,
+            ),
+            None => "no chaos plan installed".to_string(),
+        })
     }
 
     /// The active chaos plan and its decision counters (the
     /// `chaos status` command).
     pub fn chaos_status_text(&self) -> String {
-        match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => match sharded.chaos_status() {
-                Some((plan, st)) => format!(
-                    "{}\ninjected: {} delayed, {} dropped, {} duplicated, \
-                     {} reordered, {} heartbeats delayed, {} fenced",
-                    plan.describe(),
-                    st.delayed,
-                    st.dropped,
-                    st.duplicated,
-                    st.reordered,
-                    st.heartbeats_delayed,
-                    st.fenced,
-                ),
-                None => "no chaos plan installed".to_string(),
-            },
-            _ => "no chaos plan installed".to_string(),
+        match self.engine.as_ref().and_then(|s| s.chaos_status()) {
+            Some((plan, st)) => format!(
+                "{}\ninjected: {} delayed, {} dropped, {} duplicated, \
+                 {} reordered, {} heartbeats delayed, {} fenced",
+                plan.describe(),
+                st.delayed,
+                st.dropped,
+                st.duplicated,
+                st.reordered,
+                st.heartbeats_delayed,
+                st.fenced,
+            ),
+            None => "no chaos plan installed".to_string(),
         }
     }
 
-    /// Simulate a crash on the live engine. With a sharded backend,
-    /// `shard` selects one shard to kill (others keep serving); `None`
-    /// crashes everything.
+    /// Check an operator's shard selection against the built engine.
+    fn check_shard(sharded: &ShardedEngine, shard: Option<usize>) -> Result<(), SessionError> {
+        match shard {
+            Some(s) if s >= sharded.shards() => {
+                Err(format!("shard {s} out of range (0..{})", sharded.shards()))
+            }
+            _ => Ok(()),
+        }
+    }
+
+    /// Simulate a crash on the live engine: `shard` selects one shard to
+    /// kill (others keep serving); `None` crashes every shard.
     pub fn crash(&mut self, shard: Option<usize>) -> Result<String, SessionError> {
         // A crash distrusts all derived state; the cached results are
         // derived state held outside the engine, so they go too. (A
@@ -912,116 +792,87 @@ impl Session {
         if let Some(cache) = self.cache.as_ref() {
             cache.flash_all();
         }
-        match (self.ensure_backend()?, shard) {
-            (Backend::Single(engine), None) => {
-                engine.crash();
-                Ok(format!(
-                    "crashed (epoch {}): buffered frames dropped, derived state distrusted; \
-                     run 'recover' to resume",
-                    engine.crash_epoch()
-                ))
-            }
-            (Backend::Single(_), Some(_)) => {
-                Err("not sharded; use plain 'crash' (or 'shards N' first)".to_string())
-            }
-            (Backend::Sharded(sharded), sel) => {
-                if let Some(s) = sel {
-                    if s >= sharded.shards() {
-                        return Err(format!("shard {s} out of range (0..{})", sharded.shards()));
-                    }
-                }
-                sharded.crash(sel);
-                let replicated = sharded.replicas() > 1;
-                Ok(match sel {
-                    Some(s) if replicated => format!(
-                        "shard {s} primary crashed; replica {} promoted, service continues. \
-                         run 'recover {s}' (or 'resync {s}') to rejoin the ex-primary",
-                        sharded.primary_of(s)
-                    ),
-                    Some(s) => format!(
-                        "shard {s} crashed: its frames dropped, its derived state \
-                         distrusted; other shards keep serving. run 'recover {s}' to resume"
-                    ),
-                    None if replicated => format!(
-                        "all {} shard primaries crashed; each promoted a live follower, \
-                         service continues. run 'recover' to rejoin the ex-primaries",
-                        sharded.shards()
-                    ),
-                    None => format!(
-                        "all {} shards crashed; run 'recover' to resume",
-                        sharded.shards()
-                    ),
-                })
-            }
-        }
+        let sharded = self.ensure_backend()?;
+        Self::check_shard(sharded, shard)?;
+        sharded.crash(shard);
+        let replicated = sharded.replicas() > 1;
+        Ok(match shard {
+            Some(s) if replicated => format!(
+                "shard {s} primary crashed; replica {} promoted, service continues. \
+                 run 'recover {s}' (or 'resync {s}') to rejoin the ex-primary",
+                sharded.primary_of(s)
+            ),
+            Some(s) => format!(
+                "shard {s} crashed: its frames dropped, its derived state \
+                 distrusted; other shards keep serving. run 'recover {s}' to resume"
+            ),
+            None if replicated => format!(
+                "all {} shard primaries crashed; each promoted a live follower, \
+                 service continues. run 'recover' to rejoin the ex-primaries",
+                sharded.shards()
+            ),
+            None if sharded.shards() == 1 => format!(
+                "crashed (epoch {}): buffered frames dropped, derived state distrusted; \
+                 run 'recover' to resume",
+                sharded.with_engine(0, Engine::crash_epoch)
+            ),
+            None => format!(
+                "all {} shards crashed; run 'recover' to resume",
+                sharded.shards()
+            ),
+        })
     }
 
-    /// Run crash recovery and report what it did. With a sharded
-    /// backend, `shard` recovers one shard independently.
+    /// Run crash recovery and report what it did: `shard` recovers one
+    /// shard independently, `None` every shard.
     pub fn recover(&mut self, shard: Option<usize>) -> Result<String, SessionError> {
-        match (self.ensure_backend()?, shard) {
-            (Backend::Single(engine), None) => match engine.recover() {
-                RecoveryOutcome::Recovered(rep) => Ok(format!(
-                    "recovered (epoch {}): {} WAL records ({} bytes) replayed, \
-                     {} conservative invalidations, {} rebuilds deferred to first access",
+        let sharded = self.ensure_backend()?;
+        Self::check_shard(sharded, shard)?;
+        // One unpartitioned engine needs no shard prefix.
+        let who = |s: usize| match sharded.shards() {
+            1 => String::new(),
+            _ => format!("shard {s} "),
+        };
+        let mut out = String::new();
+        for (s, outcome) in sharded.recover(shard) {
+            match outcome {
+                RecoveryOutcome::Recovered(rep) => out.push_str(&format!(
+                    "{}recovered (epoch {}): {} WAL records ({} bytes) replayed, \
+                     {} conservative invalidations, {} rebuilds deferred to first access\n",
+                    who(s),
                     rep.crash_epoch,
                     rep.wal_records_replayed,
                     rep.wal_bytes_replayed,
                     rep.conservative_invalidations,
                     rep.rebuilds_pending,
                 )),
-                RecoveryOutcome::NotCrashed => Ok("not crashed; nothing to recover".to_string()),
-            },
-            (Backend::Single(_), Some(_)) => {
-                Err("not sharded; use plain 'recover' (or 'shards N' first)".to_string())
-            }
-            (Backend::Sharded(sharded), sel) => {
-                if let Some(s) = sel {
-                    if s >= sharded.shards() {
-                        return Err(format!("shard {s} out of range (0..{})", sharded.shards()));
-                    }
+                RecoveryOutcome::NotCrashed if sharded.replicas() > 1 => out.push_str(&format!(
+                    "shard {s}: primary not crashed; replicas resynced\n"
+                )),
+                RecoveryOutcome::NotCrashed => {
+                    out.push_str(&format!("{}not crashed; nothing to recover\n", who(s)))
                 }
-                let mut out = String::new();
-                for (s, outcome) in sharded.recover(sel) {
-                    match outcome {
-                        RecoveryOutcome::Recovered(rep) => out.push_str(&format!(
-                            "shard {s} recovered (epoch {}): {} WAL records ({} bytes) \
-                             replayed, {} conservative invalidations, {} rebuilds deferred \
-                             to first access\n",
-                            rep.crash_epoch,
-                            rep.wal_records_replayed,
-                            rep.wal_bytes_replayed,
-                            rep.conservative_invalidations,
-                            rep.rebuilds_pending,
-                        )),
-                        RecoveryOutcome::NotCrashed => out.push_str(&format!(
-                            "shard {s}: primary not crashed; replicas resynced\n"
-                        )),
-                    }
-                }
-                Ok(out.trim_end().to_string())
             }
         }
+        Ok(out.trim_end().to_string())
+    }
+
+    /// The built engine, when its shards are replicated.
+    fn replicated_backend(&mut self) -> Result<&ShardedEngine, SessionError> {
+        let sharded = self.ensure_backend()?;
+        if sharded.replicas() < 2 {
+            return Err("not replicated; use 'replicas R' (R >= 2) first".to_string());
+        }
+        Ok(sharded)
     }
 
     /// Force a failover drill: promote the freshest live follower of
     /// `shard` to primary (the `promote N` command).
     pub fn promote(&mut self, shard: usize) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Single(_) => {
-                Err("not replicated; use 'replicas R' (R >= 2) first".to_string())
-            }
-            Backend::Sharded(sharded) => {
-                if shard >= sharded.shards() {
-                    return Err(format!(
-                        "shard {shard} out of range (0..{})",
-                        sharded.shards()
-                    ));
-                }
-                let new = sharded.promote(shard)?;
-                Ok(format!("shard {shard}: replica {new} promoted to primary"))
-            }
-        }
+        let sharded = self.replicated_backend()?;
+        Self::check_shard(sharded, Some(shard))?;
+        let new = sharded.promote(shard)?;
+        Ok(format!("shard {shard}: replica {new} promoted to primary"))
     }
 
     /// Resync lagging or dead replicas of one shard (or all shards):
@@ -1029,48 +880,36 @@ impl Session {
     /// conservative full rebuild when the log was truncated past its
     /// position (the `resync [N]` command).
     pub fn resync(&mut self, shard: Option<usize>) -> Result<String, SessionError> {
-        match self.ensure_backend()? {
-            Backend::Single(_) => {
-                Err("not replicated; use 'replicas R' (R >= 2) first".to_string())
-            }
-            Backend::Sharded(sharded) => {
-                if let Some(s) = shard {
-                    if s >= sharded.shards() {
-                        return Err(format!("shard {s} out of range (0..{})", sharded.shards()));
-                    }
-                }
-                let reports = sharded.resync(shard).map_err(|e| e.to_string())?;
-                if reports.is_empty() {
-                    return Ok("all replicas live and caught up; nothing to resync".to_string());
-                }
-                let mut out = String::new();
-                for r in reports {
-                    out.push_str(&format!(
-                        "shard {} replica {}: {}\n",
-                        r.shard,
-                        r.replica,
-                        if r.full_rebuild {
-                            "conservative full rebuild (log truncated or position ambiguous)"
-                                .to_string()
-                        } else {
-                            format!("replayed {} delta op(s)", r.replayed)
-                        }
-                    ));
-                }
-                Ok(out.trim_end().to_string())
-            }
+        let sharded = self.replicated_backend()?;
+        Self::check_shard(sharded, shard)?;
+        let reports = sharded.resync(shard).map_err(|e| e.to_string())?;
+        if reports.is_empty() {
+            return Ok("all replicas live and caught up; nothing to resync".to_string());
         }
+        let mut out = String::new();
+        for r in reports {
+            out.push_str(&format!(
+                "shard {} replica {}: {}\n",
+                r.shard,
+                r.replica,
+                if r.full_rebuild {
+                    "conservative full rebuild (log truncated or position ambiguous)".to_string()
+                } else {
+                    format!("replayed {} delta op(s)", r.replayed)
+                }
+            ));
+        }
+        Ok(out.trim_end().to_string())
     }
 
-    /// Total priced cost accumulated on the live engine's ledger(s).
+    /// Total priced cost accumulated on the live engine's ledgers.
     pub fn total_cost_ms(&self) -> f64 {
-        match self.engine.as_ref() {
-            None => 0.0,
-            Some(Backend::Single(e)) => e.ledger().snapshot().priced(&self.constants),
-            Some(Backend::Sharded(sharded)) => (0..sharded.shards())
-                .map(|s| sharded.with_engine(s, |e| e.ledger().snapshot().priced(&self.constants)))
-                .sum(),
-        }
+        let Some(sharded) = self.engine.as_ref() else {
+            return 0.0;
+        };
+        (0..sharded.shards())
+            .map(|s| sharded.with_engine(s, |e| e.ledger().snapshot().priced(&self.constants)))
+            .sum()
     }
 
     /// Turn the front result cache on (the `cache on` command). Builds
@@ -1123,10 +962,8 @@ impl Session {
             s.bytes,
         ));
         let engine_lsns: Vec<u64> = match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => {
-                sharded.shard_stats().iter().map(|st| st.last_lsn).collect()
-            }
-            _ => Vec::new(),
+            Some(sharded) => sharded.shard_stats().iter().map(|st| st.last_lsn).collect(),
+            None => Vec::new(),
         };
         for (i, w) in s.per_shard.iter().enumerate() {
             // Invalidation lag: deltas the engine has committed that the
@@ -1158,31 +995,17 @@ impl Session {
                 .map(|r| format!("{r:.2}"))
                 .unwrap_or_else(|| "-".to_string());
             let advice = match (self.engine.as_ref(), obs.conflict_rate(i)) {
-                (Some(backend), Some(rate)) => {
+                (Some(sharded), Some(rate)) => {
                     let c = self.constants;
-                    // Full-relation estimates: the single engine's, or
-                    // the sum of each shard's estimate over its slice.
-                    let (recompute_ms, cached_read_ms) = match backend {
-                        Backend::Single(engine) => (
-                            engine.estimate_recompute_ms(i, &c),
-                            engine.estimate_cached_read_ms(i, &c).unwrap_or(c.c2),
-                        ),
-                        Backend::Sharded(sharded) => {
-                            let mut rec = 0.0;
-                            let mut cached = 0.0;
-                            for s in 0..sharded.shards() {
-                                let (r, cr) = sharded.with_engine(s, |e| {
-                                    (
-                                        e.estimate_recompute_ms(i, &c),
-                                        e.estimate_cached_read_ms(i, &c).unwrap_or(c.c2),
-                                    )
-                                });
-                                rec += r;
-                                cached += cr;
-                            }
-                            (rec, cached)
-                        }
-                    };
+                    // Full-relation estimates: the sum of each shard's
+                    // estimate over its slice.
+                    let (mut recompute_ms, mut cached_read_ms) = (0.0, 0.0);
+                    for s in 0..sharded.shards() {
+                        sharded.with_engine(s, |e| {
+                            recompute_ms += e.estimate_recompute_ms(i, &c);
+                            cached_read_ms += e.estimate_cached_read_ms(i, &c).unwrap_or(c.c2);
+                        });
+                    }
                     let input = procdb_core::DecisionInput {
                         recompute_ms,
                         // Always Recompute keeps no cache to measure; a
@@ -1206,29 +1029,12 @@ impl Session {
             out.push_str("  (no procedures defined)\n");
         }
         match self.engine.as_ref() {
-            Some(Backend::Single(e)) => {
-                out.push_str(&format!("recovery: {} crash(es)", e.crash_epoch()));
-                if let Some(rep) = e.last_recovery() {
-                    out.push_str(&format!(
-                        "; last recovery replayed {} WAL records ({} bytes), \
-                         {} conservative invalidations",
-                        rep.wal_records_replayed,
-                        rep.wal_bytes_replayed,
-                        rep.conservative_invalidations,
-                    ));
-                }
-                if let Some((log, tail)) = e.wal_stats() {
-                    out.push_str(&format!(
-                        "; validity WAL {log} bytes ({tail} past checkpoint)"
-                    ));
-                }
-                let pending = e.rebuilds_pending();
-                if pending > 0 {
-                    out.push_str(&format!("; {pending} rebuild(s) pending"));
-                }
-                out.push('\n');
+            // One unpartitioned, unreplicated engine reports its own
+            // recovery history in place of a one-row shard table.
+            Some(sharded) if sharded.shards() == 1 && sharded.replicas() == 1 => {
+                out.push_str(&sharded.with_engine(0, recovery_line));
             }
-            Some(Backend::Sharded(sharded)) => {
+            Some(sharded) => {
                 out.push_str(&format!(
                     "shards: {} ({} cross-shard moves)\n",
                     sharded.shards(),
@@ -1299,12 +1105,10 @@ impl Session {
     }
 
     /// Machine-parseable per-shard status (the `shards` command): one
-    /// `key=value` line per shard. The single engine renders as a
-    /// one-shard deployment so consumers (loadgen's bench JSON) see the
-    /// same schema either way.
+    /// `key=value` line per shard.
     pub fn shards_text(&self) -> String {
         match self.engine.as_ref() {
-            Some(Backend::Sharded(sharded)) => {
+            Some(sharded) => {
                 let mut out = format!("shards: {}\n", sharded.shards());
                 out.push_str(&format!("cross_moves: {}\n", sharded.cross_moves()));
                 out.push_str(&format!("replicas: {}\n", sharded.replicas()));
@@ -1349,30 +1153,6 @@ impl Session {
                 }
                 out.trim_end().to_string()
             }
-            Some(Backend::Single(e)) => {
-                let obs = self.observer.lock();
-                let accesses: u64 = (0..self.views.len()).map(|i| obs.stats(i).accesses).sum();
-                let updates = obs.operations.saturating_sub(accesses);
-                let (hits, faults) = e.pager().buffer_stats();
-                let total = hits + faults;
-                let hit_ratio = if total == 0 {
-                    0.0
-                } else {
-                    hits as f64 / total as f64
-                };
-                let r1_rows = self.tables.first().map(|t| t.rows.len()).unwrap_or(0);
-                format!(
-                    "shards: 1\ncross_moves: 0\nreplicas: 1\n\
-                     shard 0: accesses={accesses} updates={updates} escalations=0 \
-                     hits={hits} faults={faults} hit_ratio={hit_ratio:.4} \
-                     conflict_rate=0.0000 crash_epoch={} rebuilds_pending={} \
-                     r1_rows={r1_rows} access_ms=0.000 \
-                     replicas=1 live=1 primary=0 last_lsn=0 max_lag=0 failovers=0 \
-                     epoch=1 fenced=0 breaker=closed breaker_sheds=0",
-                    e.crash_epoch(),
-                    e.rebuilds_pending(),
-                )
-            }
             None => format!("shards: {} (engine not built yet)", self.shards),
         }
     }
@@ -1382,43 +1162,32 @@ impl Session {
     /// refreshed first (the `metrics` command).
     pub fn metrics_text(&self) -> String {
         let reg = procdb_obs::global();
-        match self.engine.as_ref() {
-            Some(Backend::Single(e)) => {
-                if let Some(vf) = e.valid_fraction() {
-                    reg.gauge("procdb_ci_valid_fraction", &[]).set(vf);
-                }
-                reg.gauge("procdb_shard_count", &[]).set(1.0);
-                reg.gauge("procdb_session_cost_ms", &[])
-                    .set(e.ledger().snapshot().priced(&self.constants));
-            }
-            Some(Backend::Sharded(sharded)) => {
-                reg.gauge("procdb_shard_count", &[])
-                    .set(sharded.shards() as f64);
-                reg.gauge("procdb_replica_count", &[])
-                    .set(sharded.replicas() as f64);
-                reg.gauge("procdb_session_cost_ms", &[])
-                    .set(self.total_cost_ms());
-                for st in sharded.shard_stats() {
-                    let shard = st.shard.to_string();
-                    let labels = [("shard", shard.as_str())];
-                    reg.gauge("procdb_shard_buffer_hit_ratio", &labels)
-                        .set(st.hit_ratio());
-                    reg.gauge("procdb_shard_conflict_rate", &labels)
-                        .set(st.conflict_rate());
-                    reg.gauge("procdb_replica_live", &labels)
-                        .set(st.live_replicas as f64);
-                    reg.gauge("procdb_replica_primary", &labels)
-                        .set(st.primary_replica as f64);
-                    reg.gauge("procdb_replica_max_lag", &labels)
-                        .set(st.max_replica_lag as f64);
-                    reg.gauge("procdb_replica_epoch", &labels)
-                        .set(st.epoch as f64);
-                    if let Some(vf) = st.valid_fraction {
-                        reg.gauge("procdb_ci_valid_fraction", &labels).set(vf);
-                    }
+        if let Some(sharded) = self.engine.as_ref() {
+            reg.gauge("procdb_shard_count", &[])
+                .set(sharded.shards() as f64);
+            reg.gauge("procdb_replica_count", &[])
+                .set(sharded.replicas() as f64);
+            reg.gauge("procdb_session_cost_ms", &[])
+                .set(self.total_cost_ms());
+            for st in sharded.shard_stats() {
+                let shard = st.shard.to_string();
+                let labels = [("shard", shard.as_str())];
+                reg.gauge("procdb_shard_buffer_hit_ratio", &labels)
+                    .set(st.hit_ratio());
+                reg.gauge("procdb_shard_conflict_rate", &labels)
+                    .set(st.conflict_rate());
+                reg.gauge("procdb_replica_live", &labels)
+                    .set(st.live_replicas as f64);
+                reg.gauge("procdb_replica_primary", &labels)
+                    .set(st.primary_replica as f64);
+                reg.gauge("procdb_replica_max_lag", &labels)
+                    .set(st.max_replica_lag as f64);
+                reg.gauge("procdb_replica_epoch", &labels)
+                    .set(st.epoch as f64);
+                if let Some(vf) = st.valid_fraction {
+                    reg.gauge("procdb_ci_valid_fraction", &labels).set(vf);
                 }
             }
-            None => {}
         }
         reg.render_prometheus()
     }
@@ -1490,6 +1259,11 @@ impl Session {
     /// Summary of the table used by `show tables`.
     pub fn table_summary(&self, name: &str) -> Result<String, SessionError> {
         let t = self.table(name)?;
+        // A built engine holds the base table's rows.
+        let rows = match self.engine.as_ref() {
+            Some(sharded) if t.name == self.tables[0].name => sharded.r1_len() as usize,
+            _ => t.rows.len(),
+        };
         let org = match t.org {
             Organization::BTree { key_field } => {
                 format!("btree on {}", t.schema.fields()[key_field].name)
@@ -1499,8 +1273,31 @@ impl Session {
             }
             Organization::Heap => "heap".to_string(),
         };
-        Ok(format!("{} ({} rows, {})", t.name, t.rows.len(), org))
+        Ok(format!("{} ({rows} rows, {org})", t.name))
     }
+}
+
+/// The `stats` line on one engine's crash/recovery history.
+fn recovery_line(e: &Engine) -> String {
+    let mut out = format!("recovery: {} crash(es)", e.crash_epoch());
+    if let Some(rep) = e.last_recovery() {
+        out.push_str(&format!(
+            "; last recovery replayed {} WAL records ({} bytes), \
+             {} conservative invalidations",
+            rep.wal_records_replayed, rep.wal_bytes_replayed, rep.conservative_invalidations,
+        ));
+    }
+    if let Some((log, tail)) = e.wal_stats() {
+        out.push_str(&format!(
+            "; validity WAL {log} bytes ({tail} past checkpoint)"
+        ));
+    }
+    let pending = e.rebuilds_pending();
+    if pending > 0 {
+        out.push_str(&format!("; {pending} rebuild(s) pending"));
+    }
+    out.push('\n');
+    out
 }
 
 impl Default for Session {
@@ -1597,8 +1394,8 @@ mod tests {
         let (n, _) = s.update(15, 99).unwrap();
         assert_eq!(n, 1);
         assert_eq!(s.access("V").unwrap().0.len(), 9);
-        // The in-memory mirror follows, so a strategy switch (rebuild)
-        // sees the same data.
+        // The rows taken back out of the engine carry the re-key, so a
+        // strategy switch (rebuild) sees the same data.
         s.set_strategy(StrategyKind::AlwaysRecompute);
         assert_eq!(s.access("V").unwrap().0.len(), 9);
     }

@@ -5,7 +5,9 @@
 //! long-lived workers pulling jobs off a shared queue. [`WorkerPool::scatter`]
 //! submits one job per shard and blocks until **all** results are in,
 //! returning them in submission order regardless of completion order —
-//! the merge step depends on a stable shard → result mapping.
+//! the merge step depends on a stable shard → result mapping. A scatter
+//! of one job has nothing to overlap, so it runs on the calling thread
+//! instead of paying the queue and wake-up round trip.
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::mpsc::{channel, Sender};
@@ -59,11 +61,16 @@ impl WorkerPool {
     /// Run every job on the pool and return their results **in job
     /// order**. Blocks until all jobs finish. A panicking job does not
     /// poison the pool: the payload is captured on the worker and
-    /// re-raised here, on the caller.
+    /// re-raised here, on the caller. A single job runs inline on the
+    /// caller, so its panic unwinds straight through.
     pub fn scatter<R: Send + 'static>(
         &self,
-        jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
+        mut jobs: Vec<Box<dyn FnOnce() -> R + Send + 'static>>,
     ) -> Vec<R> {
+        if jobs.len() == 1 {
+            let job = jobs.pop().expect("one job");
+            return vec![job()];
+        }
         let n = jobs.len();
         let (rtx, rrx) = channel::<(usize, thread::Result<R>)>();
         let tx = self.tx.as_ref().expect("pool is alive until dropped");
@@ -132,6 +139,22 @@ mod tests {
         let outcome = catch_unwind(AssertUnwindSafe(|| pool.scatter(bad)));
         assert!(outcome.is_err(), "panic must surface on the caller");
         // The pool still works after the panic.
+        let ok: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| 1), Box::new(|| 2)];
+        assert_eq!(pool.scatter(ok), vec![1, 2]);
+    }
+
+    #[test]
+    fn one_job_runs_on_the_calling_thread() {
+        let pool = WorkerPool::new(2);
+        let caller = thread::current().id();
+        let job: Vec<Box<dyn FnOnce() -> thread::ThreadId + Send>> =
+            vec![Box::new(|| thread::current().id())];
+        assert_eq!(pool.scatter(job), vec![caller]);
+        // Its panic re-raises on the caller, and the pool keeps serving.
+        let bad: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| panic!("inline job"))];
+        let outcome = catch_unwind(AssertUnwindSafe(|| pool.scatter(bad)));
+        let payload = outcome.expect_err("panic must surface on the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"inline job"));
         let ok: Vec<Box<dyn FnOnce() -> u32 + Send>> = vec![Box::new(|| 1), Box::new(|| 2)];
         assert_eq!(pool.scatter(ok), vec![1, 2]);
     }

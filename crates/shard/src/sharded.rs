@@ -11,7 +11,8 @@
 //!   refill a cache, fold maintenance, rebuild after a crash), and the
 //!   partials merge by sorting schema-encoded rows. Partition
 //!   disjointness makes the merged multiset exactly the single-engine
-//!   answer.
+//!   answer. With one shard the scatter runs on the calling thread and
+//!   its partial is the answer, in the engine's own order.
 //! * **Updates** route to the shard owning the victim key; the shard's
 //!   primary applies the mutation first, then the same routed
 //!   [`DeltaOp`] ships synchronously to each live follower (each
@@ -87,7 +88,7 @@ use procdb_core::{
     DeltaAck, DeltaObserver, DeltaOp, Engine, RecoveryOutcome, ShippedDelta, StrategyKind,
 };
 use procdb_obs::{Counter, Gauge, Histogram};
-use procdb_query::{Schema, Tuple, Value};
+use procdb_query::{Schema, Table, Tuple, Value};
 use procdb_storage::{CostConstants, Result, StorageError};
 
 use crate::chaos::{ChaosInjector, ChaosPlan, ChaosStatus, ShipFate};
@@ -98,8 +99,9 @@ use crate::replica::{
 use crate::router::Router;
 
 /// A boxed per-shard access task handed to the [`WorkerPool`]: runs one
-/// shard's share of a scatter and returns `(partial rows, priced ms)`.
-type AccessJob = Box<dyn FnOnce() -> Result<(Vec<Tuple>, f64)> + Send>;
+/// shard's share of a scatter and returns `(partial rows, priced ms)`,
+/// or `None` when the shard declined to escalate.
+type AccessJob = Box<dyn FnOnce() -> Result<Option<(Vec<Tuple>, f64)>> + Send>;
 
 /// Total time an access job may spend retrying one shard through
 /// failovers before surfacing the error (the bounded failover window).
@@ -515,7 +517,8 @@ fn ack_of(rep: &Replica) -> Option<DeltaAck> {
 }
 
 /// Serve one access on one replica: shared path first, escalating to
-/// the exclusive lock when the strategy must write. Returns
+/// the exclusive lock when the strategy must write — or, without
+/// `escalate`, declining with `Ok(None)`. Returns
 /// `(rows, priced_ms, escalated)`. With a request deadline installed on
 /// the worker thread, the exclusive-lock acquisition is budgeted: a
 /// lock that stays contended past the deadline surfaces the typed
@@ -525,14 +528,18 @@ fn serve_on(
     shard: usize,
     i: usize,
     c: &CostConstants,
-) -> Result<(Vec<Tuple>, f64, bool)> {
+    escalate: bool,
+) -> Result<Option<(Vec<Tuple>, f64, bool)>> {
     {
         let eng = rep.engine.read();
         let before = eng.ledger().snapshot();
         if let Some(rows) = eng.access_shared(i)? {
             let ms = eng.ledger().snapshot().since(&before).priced(c);
-            return Ok((rows, ms, false));
+            return Ok(Some((rows, ms, false)));
         }
+    }
+    if !escalate {
+        return Ok(None);
     }
     let mut eng = match procdb_obs::current_deadline() {
         None => rep.engine.write(),
@@ -549,7 +556,27 @@ fn serve_on(
     let before = eng.ledger().snapshot();
     let rows = eng.access(i)?;
     let ms = eng.ledger().snapshot().since(&before).priced(c);
-    Ok((rows, ms, true))
+    Ok(Some((rows, ms, true)))
+}
+
+/// The output schema of procedure `i`, by which its partials merge.
+fn output_schema(i: usize) -> impl FnOnce(&Engine) -> Schema {
+    move |eng| eng.procedures()[i].view.output_schema(eng.catalog())
+}
+
+/// Run `read` on an engine's `R1` with page charging suspended: reading
+/// the base relation back out is bookkeeping, not priced query cost.
+fn read_r1_uncharged<T>(
+    eng: &Engine,
+    r1: &str,
+    read: impl FnOnce(&Table) -> Result<T>,
+) -> Result<T> {
+    let pager = eng.pager();
+    let was = pager.is_charging();
+    pager.set_charging(false);
+    let out = read(eng.catalog().get(r1).expect("R1 exists on shards"));
+    pager.set_charging(was);
+    out
 }
 
 /// Hedged read: serve from any live follower whose lock is free, via
@@ -971,17 +998,20 @@ impl ShardedEngine {
         f(&mut self.slots[shard].replicas[replica].engine.write())
     }
 
-    fn output_schema(&self, i: usize) -> Schema {
-        let slot = &self.slots[0];
-        let eng = slot.replicas[slot.primary_idx()].engine.read();
-        eng.procedures()[i].view.output_schema(eng.catalog())
-    }
-
     /// Merge per-shard partials deterministically: partition
     /// disjointness means concatenation is the right multiset, and
-    /// sorting by the schema encoding fixes the order regardless of
-    /// which shard reported first.
-    fn merge(&self, schema: &Schema, partials: Vec<Vec<Tuple>>) -> Vec<Tuple> {
+    /// sorting by the rows' `schema` encoding fixes the order regardless
+    /// of which shard reported first. A lone partial is already the
+    /// answer, in its engine's order.
+    fn merge(
+        &self,
+        mut partials: Vec<Vec<Tuple>>,
+        schema: impl FnOnce(&Engine) -> Schema,
+    ) -> Vec<Tuple> {
+        if partials.len() == 1 {
+            return partials.pop().expect("one partial");
+        }
+        let schema = self.with_engine(0, schema);
         let mut rows: Vec<Tuple> = partials.into_iter().flatten().collect();
         rows.sort_by_cached_key(|r| schema.encode(r));
         rows
@@ -1000,8 +1030,28 @@ impl ShardedEngine {
     /// hedged reads on, a merely *contended* primary lock routes the
     /// read to a live follower.
     pub fn access(&self, i: usize, c: &CostConstants) -> Result<(Vec<Tuple>, f64)> {
+        Ok(self
+            .scatter_access(i, c, true)?
+            .expect("an escalating access always serves"))
+    }
+
+    /// [`ShardedEngine::access`] without escalation: every shard serves
+    /// under its shared lock, or the whole access declines with
+    /// `Ok(None)` because some shard's strategy must write first (a
+    /// Cache & Invalidate refill, a post-crash rebuild). A caller that
+    /// serializes writers itself escalates by calling
+    /// [`ShardedEngine::access`] once it holds its own exclusive lock.
+    pub fn access_shared(&self, i: usize, c: &CostConstants) -> Result<Option<(Vec<Tuple>, f64)>> {
+        self.scatter_access(i, c, false)
+    }
+
+    fn scatter_access(
+        &self,
+        i: usize,
+        c: &CostConstants,
+        escalate: bool,
+    ) -> Result<Option<(Vec<Tuple>, f64)>> {
         assert!(i < self.n_procs, "procedure index out of range");
-        let schema = self.output_schema(i);
         let c = *c;
         let hedge = self.hedged_reads();
         // The pool's worker threads are long-lived, so the request's
@@ -1042,14 +1092,15 @@ impl ShardedEngine {
                                     slot.access_ms.observe(start.elapsed().as_secs_f64() * 1e3);
                                     sp.field("role", pidx as f64);
                                     sp.field("hedged", 1.0);
-                                    break Ok((rows, ms));
+                                    break Ok(Some((rows, ms)));
                                 }
                                 Ok(None) => {}
                                 Err(e) => break Err(e),
                             }
                         }
-                        match serve_on(&slot.replicas[pidx], shard_id, i, &c) {
-                            Ok((rows, ms, escalated)) => {
+                        match serve_on(&slot.replicas[pidx], shard_id, i, &c, escalate) {
+                            Ok(None) => break Ok(None),
+                            Ok(Some((rows, ms, escalated))) => {
                                 if escalated {
                                     slot.escalations.inc();
                                 }
@@ -1062,7 +1113,7 @@ impl ShardedEngine {
                                 if attempts > 1 {
                                     sp.field("failovers", (attempts - 1) as f64);
                                 }
-                                break Ok((rows, ms));
+                                break Ok(Some((rows, ms)));
                             }
                             Err(e) => {
                                 let crashed = slot.replicas[pidx].engine.read().is_crashed();
@@ -1077,8 +1128,9 @@ impl ShardedEngine {
                             }
                         }
                     };
-                    // Feed the breaker: a served access closes it, a
-                    // failed one counts toward (or confirms) the trip.
+                    // Feed the breaker: a served (or declined) access
+                    // closes it, a failed one counts toward (or confirms)
+                    // the trip.
                     match &res {
                         Ok(_) => slot.breaker.on_success(),
                         Err(_) => slot.breaker.on_failure(),
@@ -1091,11 +1143,13 @@ impl ShardedEngine {
         let mut partials = Vec::with_capacity(self.slots.len());
         let mut total_ms = 0.0;
         for out in self.pool.scatter(jobs) {
-            let (rows, ms) = out?;
+            let Some((rows, ms)) = out? else {
+                return Ok(None);
+            };
             partials.push(rows);
             total_ms += ms;
         }
-        Ok((self.merge(&schema, partials), total_ms))
+        Ok(Some((self.merge(partials, output_schema(i)), total_ms)))
     }
 
     /// Ship `delta` (already applied on the primary and committed to
@@ -1642,16 +1696,7 @@ impl ShardedEngine {
             let snapshot = {
                 let prim = &slot.replicas[slot.primary_idx()];
                 let eng = prim.engine.read();
-                let pager = eng.pager().clone();
-                let was = pager.is_charging();
-                pager.set_charging(false);
-                let rows = eng
-                    .catalog()
-                    .get(&self.r1)
-                    .expect("R1 exists on shards")
-                    .scan_all();
-                pager.set_charging(was);
-                rows?
+                read_r1_uncharged(&eng, &self.r1, Table::scan_all)?
             };
             let mut eng = rep.engine.write();
             eng.install_r1_snapshot(&snapshot)?;
@@ -1688,7 +1733,6 @@ impl ShardedEngine {
     /// Reference answer for procedure `i`: every shard primary's
     /// uncharged fresh recompute, merged. Test/verification support.
     pub fn expected_rows(&self, i: usize) -> Result<Vec<Tuple>> {
-        let schema = self.output_schema(i);
         let mut partials = Vec::with_capacity(self.slots.len());
         for slot in &self.slots {
             partials.push(
@@ -1698,7 +1742,7 @@ impl ShardedEngine {
                     .expected_rows(i)?,
             );
         }
-        Ok(self.merge(&schema, partials))
+        Ok(self.merge(partials, output_schema(i)))
     }
 
     /// Normalize rows for multiset comparison (encode + sort), using the
@@ -1709,28 +1753,53 @@ impl ShardedEngine {
         eng.normalize(i, rows)
     }
 
-    /// All `R1` tuples across shard primaries, uncharged, in a
-    /// deterministic (schema-encoded) order. Used to resync a session's
-    /// schema mirror after updates.
+    /// Run `read` on every shard primary's `R1`, uncharged, in shard
+    /// order.
+    fn read_r1<T>(&self, read: impl Fn(&Table) -> Result<T>) -> Result<Vec<T>> {
+        (0..self.slots.len())
+            .map(|s| self.with_engine(s, |eng| read_r1_uncharged(eng, &self.r1, &read)))
+            .collect()
+    }
+
+    /// All `R1` tuples across shard primaries, uncharged. Several
+    /// shards' rows come back in a deterministic (schema-encoded) order;
+    /// one shard's in its storage (key) order.
     pub fn scan_r1(&self) -> Result<Vec<Tuple>> {
-        let mut rows: Vec<Tuple> = Vec::new();
-        let mut schema: Option<Schema> = None;
-        for slot in &self.slots {
-            let eng = slot.replicas[slot.primary_idx()].engine.read();
-            let pager = eng.pager().clone();
-            let was = pager.is_charging();
-            pager.set_charging(false);
-            let table = eng.catalog().get(&self.r1).expect("R1 exists on shards");
-            if schema.is_none() {
-                schema = Some(table.schema().clone());
-            }
-            let scanned = table.scan_all();
-            pager.set_charging(was);
-            rows.extend(scanned?);
+        let parts = self.read_r1(Table::scan_all)?;
+        Ok(self.merge(parts, |eng| {
+            eng.catalog()
+                .get(&self.r1)
+                .expect("R1 exists")
+                .schema()
+                .clone()
+        }))
+    }
+
+    /// The `R1` tuples whose key lies in `[lo, hi]`, uncharged: a B-tree
+    /// range read on each shard primary, sorted by key across shards
+    /// (tuples sharing a key keep their shard's order).
+    pub fn r1_window(&self, lo: i64, hi: i64) -> Result<Vec<Tuple>> {
+        let mut rows: Vec<Tuple> = self
+            .read_r1(|t| {
+                let mut rows = Vec::new();
+                t.range_scan(lo, hi, |r| rows.push(r))?;
+                Ok(rows)
+            })?
+            .into_iter()
+            .flatten()
+            .collect();
+        if self.slots.len() > 1 {
+            let k = self.key_field;
+            rows.sort_by_key(|r| r[k].as_int());
         }
-        let schema = schema.expect("at least one shard");
-        rows.sort_by_cached_key(|r| schema.encode(r));
         Ok(rows)
+    }
+
+    /// Live `R1` tuples across shard primaries (no page is read).
+    pub fn r1_len(&self) -> u64 {
+        (0..self.slots.len())
+            .map(|s| self.with_engine(s, |eng| eng.catalog().get(&self.r1).map_or(0, Table::len)))
+            .sum()
     }
 
     /// Point-in-time per-shard summaries (allocation-light on the hot
